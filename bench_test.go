@@ -250,7 +250,7 @@ func BenchmarkAblationSimpleParallel(b *testing.B) {
 	cfg := benchCfg(0.01, 7)
 	b.Run("epoch-based", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := kadabra.SharedMemory(context.Background(), g, 8, cfg)
+			res, err := kadabra.SharedMemoryWorkload(context.Background(), kadabra.UndirectedWorkload(g), 8, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -281,7 +281,7 @@ func BenchmarkAblationEpochLength(b *testing.B) {
 		base := base
 		b.Run("base-"+itoa(int(base)), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := kadabra.SharedMemory(context.Background(), g, 8, kadabra.Config{
+				res, err := kadabra.SharedMemoryWorkload(context.Background(), kadabra.UndirectedWorkload(g), 8, kadabra.Config{
 					Eps: 0.01, Delta: 0.1, Seed: 16, EpochBase: base,
 				})
 				if err != nil {
@@ -326,7 +326,7 @@ func BenchmarkRealSharedMemoryThreads(b *testing.B) {
 		threads := threads
 		b.Run(threadLabel(threads), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := kadabra.SharedMemory(context.Background(), g, threads, benchCfg(0.008, 12))
+				res, err := kadabra.SharedMemoryWorkload(context.Background(), kadabra.UndirectedWorkload(g), threads, benchCfg(0.008, 12))
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -14,8 +14,6 @@
 //	               and -hosts (comma-separated host:port list, one per
 //	               rank); start one OS process per rank
 //
-// (-mode is a deprecated alias of -backend.)
-//
 // Workloads (paper footnote 1; valid with every backend, including the
 // MPI and TCP ones — the workload-generic executor contract threads the
 // swapped sampling kernel through the distributed drivers):
@@ -108,8 +106,7 @@ func main() {
 		eps       = flag.Float64("eps", 0.01, "absolute approximation error")
 		delta     = flag.Float64("delta", 0.1, "failure probability")
 		seed      = flag.Uint64("seed", 1, "RNG seed")
-		backend   = flag.String("backend", "", "seq | shm | dist | alg1 | tcp (default shm)")
-		mode      = flag.String("mode", "", "deprecated alias of -backend")
+		backend   = flag.String("backend", "shm", "seq | shm | dist | alg1 | tcp")
 		procs     = flag.Int("procs", 2, "processes for dist/alg1 modes")
 		threads   = flag.Int("threads", 4, "sampling threads per process")
 		ranksPer  = flag.Int("ranks-per-node", 0, "enable hierarchical aggregation with this group size")
@@ -140,16 +137,6 @@ func main() {
 	// explicitly passed -eps/-delta becomes a refinement target instead.
 	explicit := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-
-	// -backend supersedes -mode; honour the alias when only -mode is given.
-	switch {
-	case *backend == "" && *mode == "":
-		*backend = "shm"
-	case *backend == "":
-		*backend = *mode
-	case *mode != "" && *mode != *backend:
-		fatal(fmt.Errorf("-backend %q and -mode %q disagree; drop the deprecated -mode flag", *backend, *mode))
-	}
 
 	if *directed && *weighted {
 		// No backend implements a weighted-digraph workload yet, so this is

@@ -44,6 +44,13 @@ func TestGeneratorsAndRoundTrip(t *testing.T) {
 	if err := SaveFile(path, g); err != nil {
 		t.Fatal(err)
 	}
+	format, err := DetectFormatFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if format != FormatBCSR2 {
+		t.Fatalf("SaveFile wrote format %v to a .bcsr path, want BCSR v2", format)
+	}
 	back, err := LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -51,6 +58,9 @@ func TestGeneratorsAndRoundTrip(t *testing.T) {
 	if back.NumNodes() != g.NumNodes() || back.NumEdges() != g.NumEdges() {
 		t.Fatalf("round trip changed the graph: %d/%d -> %d/%d",
 			g.NumNodes(), g.NumEdges(), back.NumNodes(), back.NumEdges())
+	}
+	if back.Digest() != g.Digest() {
+		t.Fatalf("round trip changed the digest: %s -> %s", g.Digest(), back.Digest())
 	}
 }
 

@@ -2,6 +2,8 @@ package graph
 
 import (
 	"io"
+	"os"
+	"strings"
 
 	"repro/internal/bigio"
 	igraph "repro/internal/graph"
@@ -67,9 +69,23 @@ func LoadFile(path string) (*Graph, error) {
 	return igraph.LoadFile(path)
 }
 
-// SaveFile writes a graph to path, choosing the format by extension like
-// LoadFile.
-func SaveFile(path string, g *Graph) error { return igraph.SaveFile(path, g) }
+// SaveFile writes a graph to path, choosing the format by extension: a
+// ".bcsr" path gets BCSR v2 through WriteBCSR2File (tmp -> fsync ->
+// rename), the format LoadFile maps; anything else gets a text edge list.
+func SaveFile(path string, g *Graph) error {
+	if strings.HasSuffix(path, ".bcsr") {
+		return WriteBCSR2File(path, g, WriteOptions{})
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := igraph.WriteEdgeList(f, g); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
 
 // ReadEdgeList parses a whitespace-separated text edge list ('#' and '%'
 // start comments).

@@ -138,17 +138,3 @@ func LoadFile(path string) (*Graph, error) {
 	}
 	return ReadEdgeList(f)
 }
-
-// SaveFile writes a graph to path, choosing the format by extension as in
-// LoadFile.
-func SaveFile(path string, g *Graph) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".bcsr") {
-		return WriteBinary(f, g)
-	}
-	return WriteEdgeList(f, g)
-}

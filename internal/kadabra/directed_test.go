@@ -59,7 +59,7 @@ func TestDirectedVertexDiameterIsUpperBound(t *testing.T) {
 func TestSequentialDirectedGuarantee(t *testing.T) {
 	g := stronglyConnectedDigraph(3, 150, 900)
 	eps := 0.03
-	res, err := SequentialDirected(context.Background(), g, Config{Eps: eps, Delta: 0.1, Seed: 1})
+	res, err := SequentialWorkload(context.Background(), DirectedWorkload(g), Config{Eps: eps, Delta: 0.1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +81,11 @@ func TestSequentialDirectedAsymmetry(t *testing.T) {
 	// undirected view would distribute differently. Just verify scores are
 	// sane and deterministic.
 	g := stronglyConnectedDigraph(5, 80, 80)
-	a, err := SequentialDirected(context.Background(), g, Config{Eps: 0.05, Delta: 0.1, Seed: 9})
+	a, err := SequentialWorkload(context.Background(), DirectedWorkload(g), Config{Eps: 0.05, Delta: 0.1, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SequentialDirected(context.Background(), g, Config{Eps: 0.05, Delta: 0.1, Seed: 9})
+	b, err := SequentialWorkload(context.Background(), DirectedWorkload(g), Config{Eps: 0.05, Delta: 0.1, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestSequentialDirectedAsymmetry(t *testing.T) {
 }
 
 func TestSequentialDirectedRejectsTiny(t *testing.T) {
-	if _, err := SequentialDirected(context.Background(), graph.FromArcs(1, nil), Config{}); err == nil {
+	if _, err := SequentialWorkload(context.Background(), DirectedWorkload(graph.FromArcs(1, nil)), Config{}); err == nil {
 		t.Fatal("tiny digraph accepted")
 	}
 }

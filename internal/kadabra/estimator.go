@@ -19,9 +19,9 @@ import (
 // the stopping schedule — and exposes it in pieces the run-to-completion
 // functions never could: Run with a Budget (stop early, stay consistent),
 // Recalibrate (tighten eps while keeping every sample), and a versioned
-// checkpoint codec (resume in a fresh process). runSequential and
-// runSharedMemory are thin wrappers over it, so the one-shot entry points
-// and the session API cannot drift apart.
+// checkpoint codec (resume in a fresh process). SequentialWorkload and
+// SharedMemoryWorkload are thin wrappers over it, so the one-shot entry
+// points and the session API cannot drift apart.
 
 // Engine selection: threads == 0 is the sequential reference engine (the
 // plain KADABRA loop on one RNG stream, deterministic and bit-exactly
@@ -81,7 +81,7 @@ type EstimatorState struct {
 // streams and samplers. threads == 0 selects the sequential engine,
 // threads >= 1 the epoch-based shared-memory engine; the stream derivation
 // matches the corresponding one-shot driver exactly, so a session run is
-// sample-for-sample identical to runSequential / runSharedMemory.
+// sample-for-sample identical to SequentialWorkload / SharedMemoryWorkload.
 func NewEstimatorState(w Workload, threads int, cfg Config) (*EstimatorState, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err

@@ -1,7 +1,6 @@
 package kadabra
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -44,12 +43,12 @@ type Config struct {
 	// cost shows up in Fig. 2b; the cap trades tightness for speed.
 	DiameterBFSCap int
 	// OnEpoch, when non-nil, is invoked after every epoch aggregation
-	// (SharedMemory) or stopping check (Sequential) with a consistent
-	// Progress observation. It runs on the coordinator thread between the
-	// stopping check and the next epoch, so it must be cheap; it exists
-	// for progress reporting and convergence tracing. Registering it makes
-	// every epoch pay the O(n) achieved-eps sweep on top of the amortized
-	// O(1) stopping check.
+	// (SharedMemoryWorkload) or stopping check (SequentialWorkload) with a
+	// consistent Progress observation. It runs on the coordinator thread
+	// between the stopping check and the next epoch, so it must be cheap;
+	// it exists for progress reporting and convergence tracing. Registering
+	// it makes every epoch pay the O(n) achieved-eps sweep on top of the
+	// amortized O(1) stopping check.
 	OnEpoch func(Progress)
 	// MaxSamples, when positive, is a sampling budget: the run stops once
 	// the consistent sample count tau reaches it, even if the adaptive
@@ -227,19 +226,4 @@ func sortByScoreDesc(idx []graph.Node, scores []float64) {
 		}
 		return a < b
 	})
-}
-
-// resolveVertexDiameter runs phase 1 (or uses the precomputed override);
-// the override/cap/timing logic lives in Workload.ResolveDiameter so the
-// workload-based and classic entry points cannot drift apart.
-func resolveVertexDiameter(g *graph.Graph, cfg Config) (int, time.Duration) {
-	return UndirectedWorkload(g).ResolveDiameter(cfg)
-}
-
-// validate rejects graphs the estimator cannot work with.
-func validate(g *graph.Graph) error {
-	if g.NumNodes() < 2 {
-		return fmt.Errorf("kadabra: need at least 2 vertices, got %d", g.NumNodes())
-	}
-	return nil
 }

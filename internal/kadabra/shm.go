@@ -12,33 +12,23 @@ import (
 	"repro/internal/rng"
 )
 
-// SharedMemory runs the epoch-based shared-memory parallelization of
-// KADABRA — the state-of-the-art competitor of the paper (its Ref. 24),
-// which the MPI algorithm is benchmarked against in Figures 2 and 3.
+// SharedMemoryWorkload runs the epoch-based shared-memory parallelization
+// of KADABRA on any workload — the state-of-the-art competitor of the
+// paper (its Ref. 24), which the MPI algorithm is benchmarked against in
+// Figures 2 and 3. threads <= 0 means GOMAXPROCS.
 //
 // Thread 0 is the coordinator: it samples, initiates epoch transitions,
 // aggregates the frozen epoch frames and checks the stopping condition,
 // overlapping all coordination with further sampling (paper Alg. 2 with the
 // MPI calls removed). Threads 1..T-1 only sample and poll CheckTransition —
-// they are wait-free.
+// they are wait-free. The epoch framework, cancellation, budgets, and the
+// OnEpoch hook live in the estimator state machine (estimator.go),
+// workload-agnostic; only the sampling kernel each thread runs differs.
 //
 // The context is checked once per epoch on the coordinator (and between
 // calibration batches on every thread); on cancellation the run stops
 // within one epoch and returns ctx.Err().
-func SharedMemory(ctx context.Context, g *graph.Graph, threads int, cfg Config) (*Result, error) {
-	if err := validate(g); err != nil {
-		return nil, err
-	}
-	return runSharedMemory(ctx, UndirectedWorkload(g), threads, cfg)
-}
-
-// runSharedMemory is the one-shot wrapper over the shared-memory engine of
-// the anytime estimator state machine (estimator.go): build the session
-// with the resolved thread count, run it to completion (or to the Config
-// budget), and materialize the result. The epoch framework, cancellation,
-// budgets, and the OnEpoch hook live in the machine, workload-agnostic;
-// only the sampling kernel each thread runs differs.
-func runSharedMemory(ctx context.Context, w Workload, threads int, cfg Config) (*Result, error) {
+func SharedMemoryWorkload(ctx context.Context, w Workload, threads int, cfg Config) (*Result, error) {
 	start := time.Now()
 	if threads <= 0 {
 		threads = runtime.GOMAXPROCS(0)
@@ -62,7 +52,8 @@ func runSharedMemory(ctx context.Context, w Workload, threads int, cfg Config) (
 // is checked — with no overlap of sampling and aggregation. It exists as
 // the ablation baseline demonstrating why the epoch framework is needed.
 func SimpleParallel(ctx context.Context, g *graph.Graph, threads int, cfg Config) (*Result, error) {
-	if err := validate(g); err != nil {
+	w := UndirectedWorkload(g)
+	if err := w.Validate(); err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
@@ -70,7 +61,7 @@ func SimpleParallel(ctx context.Context, g *graph.Graph, threads int, cfg Config
 		threads = runtime.GOMAXPROCS(0)
 	}
 	n := g.NumNodes()
-	vd, diamTime := resolveVertexDiameter(g, cfg)
+	vd, diamTime := w.ResolveDiameter(cfg)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

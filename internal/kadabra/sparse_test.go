@@ -94,7 +94,7 @@ func TestSparseFramePingPongRace(t *testing.T) {
 	g := gen.RMAT(gen.Graph500(8, 8, 9))
 	g, _ = graph.LargestComponent(g)
 	cfg := Config{Eps: 0.08, Delta: 0.1, Seed: 17, EpochBase: 64}
-	res, err := SharedMemory(context.Background(), g, 4, cfg)
+	res, err := SharedMemoryWorkload(context.Background(), UndirectedWorkload(g), 4, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

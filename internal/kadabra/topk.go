@@ -102,7 +102,8 @@ func (cal *Calibration) TopKHaveToStop(counts []int64, tau int64, k int, lower, 
 // tie-breaking (the returned ranking may swap vertices whose true scores
 // differ by less than eps).
 func SequentialTopK(ctx context.Context, g *graph.Graph, k int, cfg Config) (*TopKResult, error) {
-	if err := validate(g); err != nil {
+	w := UndirectedWorkload(g)
+	if err := w.Validate(); err != nil {
 		return nil, err
 	}
 	if k < 1 || k >= g.NumNodes() {
@@ -113,7 +114,7 @@ func SequentialTopK(ctx context.Context, g *graph.Graph, k int, cfg Config) (*To
 	b := cfg.NewBudget(start)
 	n := g.NumNodes()
 
-	vd, diamTime := resolveVertexDiameter(g, cfg)
+	vd, diamTime := w.ResolveDiameter(cfg)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -74,7 +74,7 @@ func TestSequentialTopKStarGraph(t *testing.T) {
 		t.Fatal("star center not separated")
 	}
 	// The separation stop must come far before the uniform-eps stop.
-	uniform, err := Sequential(context.Background(), g, Config{Eps: 0.01, Delta: 0.1, Seed: 1})
+	uniform, err := SequentialWorkload(context.Background(), UndirectedWorkload(g), Config{Eps: 0.01, Delta: 0.1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -152,7 +152,7 @@ func TestParallelWeightedMatchesSequential(t *testing.T) {
 func TestSequentialWeightedGuarantee(t *testing.T) {
 	g := connectedWeighted(11, 120, 500, 8)
 	eps := 0.03
-	res, err := SequentialWeighted(context.Background(), g, Config{Eps: eps, Delta: 0.1, Seed: 1})
+	res, err := SequentialWorkload(context.Background(), WeightedWorkload(g), Config{Eps: eps, Delta: 0.1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestSequentialWeightedRejectsTiny(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SequentialWeighted(context.Background(), g, Config{}); err == nil {
+	if _, err := SequentialWorkload(context.Background(), WeightedWorkload(g), Config{}); err == nil {
 		t.Fatal("tiny weighted graph accepted")
 	}
 }

@@ -2,8 +2,8 @@ package mpi
 
 import "encoding/binary"
 
-// Codec helpers for the int64 vectors that the betweenness algorithms ship
-// around (state frames are a tau counter plus a per-vertex count vector).
+// Codec helpers for the int64 values that the betweenness algorithms ship
+// around (the phase-1 vertex diameter and the termination code).
 
 // EncodeInt64s appends the little-endian encoding of vs to dst and returns
 // the extended slice. Pass a pre-sized dst[:0] to avoid reallocation in
@@ -22,18 +22,4 @@ func DecodeInt64s(dst []int64, buf []byte) {
 	for i := range dst {
 		dst[i] = int64(binary.LittleEndian.Uint64(buf[8*i:]))
 	}
-}
-
-// EncodeBool encodes a single boolean (the termination flag of the
-// broadcast in paper Alg. 1/2).
-func EncodeBool(v bool) []byte {
-	if v {
-		return []byte{1}
-	}
-	return []byte{0}
-}
-
-// DecodeBool decodes a boolean produced by EncodeBool.
-func DecodeBool(buf []byte) bool {
-	return len(buf) > 0 && buf[0] != 0
 }

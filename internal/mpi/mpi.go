@@ -1,24 +1,31 @@
 // Package mpi is a from-scratch message-passing runtime providing the
-// subset of MPI semantics that the paper's algorithms rely on:
+// subset of MPI semantics that the paper's algorithms rely on: processes
+// with ranks, grouped into communicators, and exactly the collectives that
+// Algorithms 1 and 2 (internal/core) call.
 //
-//   - processes with ranks, grouped into communicators;
-//   - tagged, ordered point-to-point messages (blocking and non-blocking);
-//   - collective operations — Barrier, Bcast, Reduce, Allreduce, Gather —
-//     with non-blocking variants (IBarrier, IBcast, IReduce) whose progress
-//     overlaps the caller's computation (paper §IV: "we can overlap
-//     communication and computation simply by using the non-blocking
-//     variant");
-//   - communicator splitting (Split), which the paper uses to build the
-//     node-local and global communicators of its hierarchical aggregation
-//     (§IV-E).
+//   - Barrier and IBarrier: the epoch hand-off of paper §IV-F. The
+//     non-blocking barrier completes once every process has finished its
+//     epoch while the caller keeps sampling ("we can overlap communication
+//     and computation simply by using the non-blocking variant").
+//   - ReduceMerge and IReduceMerge: the blocking or non-blocking reduction
+//     of the epoch state frames to rank 0 (Alg. 1 line 10, Alg. 2 line 20),
+//     through a variable-length merge so sparse frames stay sparse.
+//   - Bcast and IBcast: the phase-1 vertex diameter, and the per-epoch
+//     termination flag (Alg. 1 line 16, Alg. 2 line 26).
+//   - Split: the node-local and global leader communicators of the
+//     hierarchical aggregation (§IV-E).
+//
+// Fault tolerance adds the recovery primitives of fault.go (DeadRanks,
+// RecoverySend/RecoveryRecv, Shrink), which let the survivors of a rank
+// death agree on a smaller communicator.
 //
 // Go has no MPI ecosystem (the reproduction substitutes this runtime for
 // MPICH), so the package implements the machinery directly: a per-process
 // matching engine pairs incoming messages with posted receives by
 // (communicator context, source, tag); collectives are built from
-// point-to-point messages using binomial trees (Bcast, Reduce) and the
-// dissemination algorithm (Barrier), the same algorithm families MPI
-// implementations use.
+// internal point-to-point messages using binomial trees (Bcast,
+// ReduceMerge) and the dissemination algorithm (Barrier), the same
+// algorithm families MPI implementations use.
 //
 // Two transports exist: an in-process transport where each "process" is a
 // goroutine group (used by the shared-cluster harness and tests — the
@@ -71,7 +78,7 @@ type Comm struct {
 	ctx  uint64
 	rank int   // this process's rank within the communicator
 	glob []int // comm rank -> world rank
-	// splitSeq numbers the Split/Dup calls on this communicator so every
+	// splitSeq numbers the Split calls on this communicator so every
 	// member derives the same child context deterministically.
 	splitSeq uint64
 	// collSeq numbers collective operations so concurrent collectives on
@@ -89,9 +96,6 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the number of processes in the communicator.
 func (c *Comm) Size() int { return len(c.glob) }
 
-// WorldRank returns the world rank of the given comm rank.
-func (c *Comm) WorldRank(r int) int { return c.glob[r] }
-
 func (c *Comm) checkRank(r int) error {
 	if r < 0 || r >= len(c.glob) {
 		return fmt.Errorf("mpi: rank %d out of range [0,%d)", r, len(c.glob))
@@ -99,15 +103,9 @@ func (c *Comm) checkRank(r int) error {
 	return nil
 }
 
-// userTagLimit bounds user tags; larger tags are reserved for collectives.
-const userTagLimit = 1 << 24
-
-func checkTag(tag int) error {
-	if tag < 0 || tag >= userTagLimit {
-		return fmt.Errorf("mpi: tag %d out of range [0,%d)", tag, userTagLimit)
-	}
-	return nil
-}
+// collTagBase is the first tag of the collective tag range; tags below it
+// are never used by collectives.
+const collTagBase = 1 << 24
 
 // mix64 is a SplitMix64-style finalizer used to derive child communicator
 // contexts deterministically and collision-resistantly.

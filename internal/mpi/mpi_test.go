@@ -14,9 +14,9 @@ import (
 func TestSendRecvBasic(t *testing.T) {
 	err := RunLocal(2, func(c *Comm) error {
 		if c.Rank() == 0 {
-			return c.Send(1, 7, []byte("hello"))
+			return c.sendRaw(1, 7, []byte("hello"))
 		}
-		data, err := c.Recv(0, 7)
+		data, err := c.recvRaw(0, 7)
 		if err != nil {
 			return err
 		}
@@ -31,18 +31,18 @@ func TestSendRecvBasic(t *testing.T) {
 }
 
 func TestSendBufferReuse(t *testing.T) {
-	// Send must copy: mutating the buffer after Send must not affect the
-	// delivered message.
+	// sendRaw must copy: mutating the buffer after the send must not affect
+	// the delivered message.
 	err := RunLocal(2, func(c *Comm) error {
 		if c.Rank() == 0 {
 			buf := []byte{1, 2, 3}
-			if err := c.Send(1, 0, buf); err != nil {
+			if err := c.sendRaw(1, 0, buf); err != nil {
 				return err
 			}
 			buf[0] = 99
 			return nil
 		}
-		data, err := c.Recv(0, 0)
+		data, err := c.recvRaw(0, 0)
 		if err != nil {
 			return err
 		}
@@ -61,14 +61,14 @@ func TestMessageOrderingPerTag(t *testing.T) {
 	err := RunLocal(2, func(c *Comm) error {
 		if c.Rank() == 0 {
 			for i := 0; i < N; i++ {
-				if err := c.Send(1, 5, []byte{byte(i)}); err != nil {
+				if err := c.sendRaw(1, 5, []byte{byte(i)}); err != nil {
 					return err
 				}
 			}
 			return nil
 		}
 		for i := 0; i < N; i++ {
-			data, err := c.Recv(0, 5)
+			data, err := c.recvRaw(0, 5)
 			if err != nil {
 				return err
 			}
@@ -86,17 +86,17 @@ func TestMessageOrderingPerTag(t *testing.T) {
 func TestTagsDoNotCrossMatch(t *testing.T) {
 	err := RunLocal(2, func(c *Comm) error {
 		if c.Rank() == 0 {
-			if err := c.Send(1, 1, []byte("a")); err != nil {
+			if err := c.sendRaw(1, 1, []byte("a")); err != nil {
 				return err
 			}
-			return c.Send(1, 2, []byte("b"))
+			return c.sendRaw(1, 2, []byte("b"))
 		}
 		// Receive tag 2 first even though tag 1 was sent first.
-		b, err := c.Recv(0, 2)
+		b, err := c.recvRaw(0, 2)
 		if err != nil {
 			return err
 		}
-		a, err := c.Recv(0, 1)
+		a, err := c.recvRaw(0, 1)
 		if err != nil {
 			return err
 		}
@@ -113,10 +113,7 @@ func TestTagsDoNotCrossMatch(t *testing.T) {
 func TestIrecvBeforeSend(t *testing.T) {
 	err := RunLocal(2, func(c *Comm) error {
 		if c.Rank() == 1 {
-			req, err := c.Irecv(0, 3)
-			if err != nil {
-				return err
-			}
+			req := c.irecvRaw(0, 3)
 			if req.Test() {
 				return fmt.Errorf("request completed before send")
 			}
@@ -130,7 +127,7 @@ func TestIrecvBeforeSend(t *testing.T) {
 			return nil
 		}
 		time.Sleep(20 * time.Millisecond)
-		return c.Send(1, 3, []byte("x"))
+		return c.sendRaw(1, 3, []byte("x"))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -138,18 +135,25 @@ func TestIrecvBeforeSend(t *testing.T) {
 }
 
 func TestInvalidArgs(t *testing.T) {
+	// Every rooted collective rejects an out-of-range root up front,
+	// before any traffic, so a bad call cannot wedge the other ranks.
 	err := RunLocal(1, func(c *Comm) error {
-		if err := c.Send(5, 0, nil); err == nil {
-			return fmt.Errorf("out-of-range rank accepted")
-		}
-		if err := c.Send(0, -1, nil); err == nil {
-			return fmt.Errorf("negative tag accepted")
-		}
-		if err := c.Send(0, userTagLimit, nil); err == nil {
-			return fmt.Errorf("reserved tag accepted")
-		}
-		if _, err := c.Recv(9, 0); err == nil {
-			return fmt.Errorf("out-of-range recv accepted")
+		for _, root := range []int{-1, 1, 5} {
+			if _, err := c.Bcast(root, nil); err == nil {
+				return fmt.Errorf("bcast root %d accepted", root)
+			}
+			if _, err := c.IBcast(root, nil).Wait(); err == nil {
+				return fmt.Errorf("ibcast root %d accepted", root)
+			}
+			if _, err := c.ReduceMerge(root, nil, sumInt64); err == nil {
+				return fmt.Errorf("reduce root %d accepted", root)
+			}
+			if _, err := c.IReduceMerge(root, nil, sumInt64).Wait(); err == nil {
+				return fmt.Errorf("ireduce root %d accepted", root)
+			}
+			if _, err := c.gather(root, nil); err == nil {
+				return fmt.Errorf("gather root %d accepted", root)
+			}
 		}
 		return nil
 	})
@@ -227,36 +231,9 @@ func TestBcastAllSizesAllRoots(t *testing.T) {
 }
 
 func TestReduceSumAllSizes(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 4, 6, 9, 16} {
-		for root := 0; root < p; root += 3 {
-			err := RunLocal(p, func(c *Comm) error {
-				vec := []int64{int64(c.Rank()), 1, int64(c.Rank() * c.Rank())}
-				buf := EncodeInt64s(nil, vec)
-				res, err := c.Reduce(root, buf, SumInt64)
-				if err != nil {
-					return err
-				}
-				if c.Rank() != root {
-					if res != nil {
-						return fmt.Errorf("non-root got data")
-					}
-					return nil
-				}
-				got := make([]int64, 3)
-				DecodeInt64s(got, res)
-				wantSum := int64(p * (p - 1) / 2)
-				var wantSq int64
-				for i := 0; i < p; i++ {
-					wantSq += int64(i * i)
-				}
-				if got[0] != wantSum || got[1] != int64(p) || got[2] != wantSq {
-					return fmt.Errorf("reduce got %v", got)
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("p=%d root=%d: %v", p, root, err)
-			}
+	for _, p := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16} {
+		if err := RunLocal(p, checkReduceAllRoots); err != nil {
+			t.Fatalf("p=%d: %v", p, err)
 		}
 	}
 }
@@ -265,8 +242,8 @@ func TestIReduceOverlapAndSnapshot(t *testing.T) {
 	err := RunLocal(4, func(c *Comm) error {
 		vec := []int64{int64(c.Rank() + 1)}
 		buf := EncodeInt64s(nil, vec)
-		req := c.IReduce(0, buf, SumInt64)
-		// Mutate the buffer immediately: IReduce must have snapshotted.
+		req := c.IReduceMerge(0, buf, sumInt64)
+		// Mutate the buffer immediately: IReduceMerge must have snapshotted.
 		buf[0] = 0xFF
 		res, err := req.Wait()
 		if err != nil {
@@ -286,29 +263,10 @@ func TestIReduceOverlapAndSnapshot(t *testing.T) {
 	}
 }
 
-func TestMaxInt64Op(t *testing.T) {
-	err := RunLocal(5, func(c *Comm) error {
-		buf := EncodeInt64s(nil, []int64{int64(c.Rank()), -int64(c.Rank())})
-		res, err := c.Reduce(0, buf, MaxInt64)
-		if err != nil || c.Rank() != 0 {
-			return err
-		}
-		got := make([]int64, 2)
-		DecodeInt64s(got, res)
-		if got[0] != 4 || got[1] != 0 {
-			return fmt.Errorf("max got %v", got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAllreduce(t *testing.T) {
 	err := RunLocal(6, func(c *Comm) error {
 		buf := EncodeInt64s(nil, []int64{1})
-		res, err := c.Allreduce(buf, SumInt64)
+		res, err := allreduceSum(c, buf)
 		if err != nil {
 			return err
 		}
@@ -326,7 +284,7 @@ func TestAllreduce(t *testing.T) {
 
 func TestGather(t *testing.T) {
 	err := RunLocal(4, func(c *Comm) error {
-		parts, err := c.Gather(2, []byte{byte(c.Rank() * 10)})
+		parts, err := c.gather(2, []byte{byte(c.Rank() * 10)})
 		if err != nil {
 			return err
 		}
@@ -349,12 +307,12 @@ func TestGather(t *testing.T) {
 }
 
 func TestIBcastTerminationFlagPattern(t *testing.T) {
-	// The exact pattern of paper Alg. 1 lines 15-17: root broadcasts a
-	// boolean while everyone overlaps with work.
+	// The exact pattern of paper Alg. 1 lines 15-17: root broadcasts the
+	// termination flag while everyone overlaps with work.
 	err := RunLocal(3, func(c *Comm) error {
 		var req *Request
 		if c.Rank() == 0 {
-			req = c.IBcast(0, EncodeBool(true))
+			req = c.IBcast(0, EncodeInt64s(nil, []int64{1}))
 		} else {
 			req = c.IBcast(0, nil)
 		}
@@ -364,7 +322,9 @@ func TestIBcastTerminationFlagPattern(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if !DecodeBool(data) {
+		flag := make([]int64, 1)
+		DecodeInt64s(flag, data)
+		if flag[0] != 1 {
 			return fmt.Errorf("rank %d: flag lost", c.Rank())
 		}
 		return nil
@@ -383,7 +343,7 @@ func TestSplitByParity(t *testing.T) {
 		if sub.Size() != 3 {
 			return fmt.Errorf("sub size %d", sub.Size())
 		}
-		if sub.WorldRank(sub.Rank()) != c.Rank() {
+		if sub.glob[sub.Rank()] != c.Rank() {
 			return fmt.Errorf("world rank mapping broken")
 		}
 		// Ranks must be ordered by key (= parent rank here).
@@ -393,7 +353,7 @@ func TestSplitByParity(t *testing.T) {
 		}
 		// The subcommunicator must be fully functional.
 		buf := EncodeInt64s(nil, []int64{int64(c.Rank())})
-		res, err := sub.Allreduce(buf, SumInt64)
+		res, err := allreduceSum(sub, buf)
 		if err != nil {
 			return err
 		}
@@ -445,18 +405,18 @@ func TestSplitContextIsolation(t *testing.T) {
 			return err
 		}
 		if c.Rank() == 0 {
-			if err := sub.Send(1, 9, []byte("sub")); err != nil {
+			if err := sub.sendRaw(1, 9, []byte("sub")); err != nil {
 				return err
 			}
-			return c.Send(1, 9, []byte("parent"))
+			return c.sendRaw(1, 9, []byte("parent"))
 		}
 		// Receive on parent first; must get the parent message even though
 		// the sub message arrived first.
-		p, err := c.Recv(0, 9)
+		p, err := c.recvRaw(0, 9)
 		if err != nil {
 			return err
 		}
-		s, err := sub.Recv(0, 9)
+		s, err := sub.recvRaw(0, 9)
 		if err != nil {
 			return err
 		}
@@ -464,22 +424,6 @@ func TestSplitContextIsolation(t *testing.T) {
 			return fmt.Errorf("context leak: parent=%q sub=%q", p, s)
 		}
 		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDup(t *testing.T) {
-	err := RunLocal(3, func(c *Comm) error {
-		d := c.Dup()
-		if d.Size() != c.Size() || d.Rank() != c.Rank() {
-			return fmt.Errorf("dup changed shape")
-		}
-		if d.ctx == c.ctx {
-			return fmt.Errorf("dup shares context")
-		}
-		return d.Barrier()
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -506,12 +450,12 @@ func TestHierarchicalSplitLikePaper(t *testing.T) {
 		}
 		// Local aggregation then global aggregation, as in the paper.
 		buf := EncodeInt64s(nil, []int64{1})
-		lres, err := local.Reduce(0, buf, SumInt64)
+		lres, err := local.ReduceMerge(0, buf, sumInt64)
 		if err != nil {
 			return err
 		}
 		if local.Rank() == 0 {
-			gres, err := global.Reduce(0, lres, SumInt64)
+			gres, err := global.ReduceMerge(0, lres, sumInt64)
 			if err != nil {
 				return err
 			}
@@ -547,7 +491,7 @@ func TestReduceRandomVectorsProperty(t *testing.T) {
 		ok := true
 		err := RunLocal(p, func(c *Comm) error {
 			buf := EncodeInt64s(nil, inputs[c.Rank()])
-			res, err := c.Reduce(0, buf, SumInt64)
+			res, err := c.ReduceMerge(0, buf, sumInt64)
 			if err != nil {
 				return err
 			}
@@ -570,14 +514,14 @@ func TestReduceRandomVectorsProperty(t *testing.T) {
 }
 
 func TestConcurrentCollectiveAndSampling(t *testing.T) {
-	// Emulates Alg. 1's structure: every rank starts an IReduce, keeps
+	// Emulates Alg. 1's structure: every rank starts an IReduceMerge, keeps
 	// "sampling" (incrementing a local counter) until done, repeatedly.
 	const rounds = 20
 	err := RunLocal(4, func(c *Comm) error {
 		total := int64(0)
 		for round := 0; round < rounds; round++ {
 			buf := EncodeInt64s(nil, []int64{1, int64(round)})
-			req := c.IReduce(0, buf, SumInt64)
+			req := c.IReduceMerge(0, buf, sumInt64)
 			for !req.Test() {
 				total++ // overlapped work
 			}
@@ -592,7 +536,11 @@ func TestConcurrentCollectiveAndSampling(t *testing.T) {
 					return fmt.Errorf("round %d: got %v", round, got)
 				}
 			}
-			flag := EncodeBool(round == rounds-1)
+			var stop int64
+			if round == rounds-1 {
+				stop = 1
+			}
+			flag := EncodeInt64s(nil, []int64{stop})
 			var breq *Request
 			if c.Rank() == 0 {
 				breq = c.IBcast(0, flag)
@@ -625,9 +573,6 @@ func TestCodecRoundTrip(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
-	if DecodeBool(EncodeBool(true)) != true || DecodeBool(EncodeBool(false)) != false {
-		t.Fatal("bool codec broken")
-	}
 }
 
 func BenchmarkReduceLocal8x4096(b *testing.B) {
@@ -639,7 +584,7 @@ func BenchmarkReduceLocal8x4096(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		err := RunLocal(8, func(c *Comm) error {
 			buf := EncodeInt64s(nil, vec)
-			_, err := c.Reduce(0, buf, SumInt64)
+			_, err := c.ReduceMerge(0, buf, sumInt64)
 			return err
 		})
 		if err != nil {

@@ -2,20 +2,12 @@ package mpi
 
 import "fmt"
 
-// Send delivers data to dst (a comm rank) with the given tag. The data slice
-// is copied before handoff, so the caller may reuse it immediately —
-// matching MPI_Send's buffer semantics.
-func (c *Comm) Send(dst, tag int, data []byte) error {
-	if err := c.checkRank(dst); err != nil {
-		return err
-	}
-	if err := checkTag(tag); err != nil {
-		return err
-	}
-	return c.sendRaw(dst, int32(tag), data)
-}
+// The point-to-point layer the collectives are built from. Tags are
+// internal: collectives draw theirs from the collTag range.
 
-// sendRaw sends with an internal (possibly collective-range) tag.
+// sendRaw delivers data to dst (a comm rank) with the given tag. The data
+// slice is copied before handoff, so the caller may reuse it immediately —
+// matching MPI_Send's buffer semantics.
 func (c *Comm) sendRaw(dst int, tag int32, data []byte) error {
 	if err := c.eng.fence(c.gen); err != nil {
 		return err
@@ -30,48 +22,20 @@ func (c *Comm) sendRaw(dst int, tag int32, data []byte) error {
 	})
 }
 
-// Irecv posts a non-blocking receive for a message from src with the given
-// tag. The message payload is available from Request.Wait.
-func (c *Comm) Irecv(src, tag int) (*Request, error) {
-	if err := c.checkRank(src); err != nil {
-		return nil, err
-	}
-	if err := checkTag(tag); err != nil {
-		return nil, err
-	}
-	return c.irecvRaw(src, int32(tag)), nil
-}
-
+// irecvRaw posts a non-blocking receive for a message from src (a comm
+// rank) with the given tag. The payload is available from Request.Wait.
 func (c *Comm) irecvRaw(src int, tag int32) *Request {
 	req := newRequest()
 	c.eng.post(matchKey{c.ctx, int32(src), tag}, c.gen, req)
 	return req
 }
 
-// Recv blocks until a message from src with the given tag arrives and
+// recvRaw blocks until a message from src with the given tag arrives and
 // returns its payload.
-func (c *Comm) Recv(src, tag int) ([]byte, error) {
-	req, err := c.Irecv(src, tag)
-	if err != nil {
-		return nil, err
-	}
-	return req.Wait()
-}
-
 func (c *Comm) recvRaw(src int, tag int32) ([]byte, error) {
 	data, err := c.irecvRaw(src, tag).Wait()
 	if err != nil {
 		return nil, fmt.Errorf("mpi: recv from %d tag %d: %w", src, tag, err)
 	}
 	return data, nil
-}
-
-// Isend sends without blocking the caller beyond the transport handoff and
-// returns a completed Request (the in-process and TCP transports both copy
-// eagerly, so completion is immediate; the Request exists for API symmetry).
-func (c *Comm) Isend(dst, tag int, data []byte) (*Request, error) {
-	if err := c.Send(dst, tag, data); err != nil {
-		return nil, err
-	}
-	return completedRequest(nil, nil), nil
 }

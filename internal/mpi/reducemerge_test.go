@@ -1,10 +1,86 @@
 package mpi
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"testing"
 )
+
+// sumInt64 is the fixed-length MergeOp of these tests: both buffers are
+// little-endian int64 vectors of equal length, added elementwise into acc.
+func sumInt64(acc, src []byte) ([]byte, error) {
+	if len(src) != len(acc) {
+		return nil, fmt.Errorf("buffer length mismatch: %d vs %d", len(src), len(acc))
+	}
+	for i := 0; i+8 <= len(src); i += 8 {
+		v := binary.LittleEndian.Uint64(acc[i:]) + binary.LittleEndian.Uint64(src[i:])
+		binary.LittleEndian.PutUint64(acc[i:], v)
+	}
+	return acc, nil
+}
+
+// allreduceSum sums int64 vectors onto rank 0 and broadcasts the result,
+// so every rank returns the total.
+func allreduceSum(c *Comm, data []byte) ([]byte, error) {
+	res, err := c.ReduceMerge(0, data, sumInt64)
+	if err != nil {
+		return nil, err
+	}
+	return c.Bcast(0, res)
+}
+
+// checkReduceAllRoots reduces to every root of c in turn, through both
+// ReduceMerge and IReduceMerge, and checks the sums at the root and the
+// nil result everywhere else.
+func checkReduceAllRoots(c *Comm) error {
+	p := c.Size()
+	var wantSum, wantSq int64
+	for r := 0; r < p; r++ {
+		wantSum += int64(r)
+		wantSq += int64(r * r)
+	}
+	me := int64(c.Rank())
+	for root := 0; root < p; root++ {
+		buf := EncodeInt64s(nil, []int64{me, 1, me * me, int64(root)})
+		blocking, err := c.ReduceMerge(root, buf, sumInt64)
+		if err != nil {
+			return fmt.Errorf("root %d: %w", root, err)
+		}
+		nonBlocking, err := c.IReduceMerge(root, buf, sumInt64).Wait()
+		if err != nil {
+			return fmt.Errorf("root %d: %w", root, err)
+		}
+		for _, res := range [][]byte{blocking, nonBlocking} {
+			if c.Rank() != root {
+				if res != nil {
+					return fmt.Errorf("root %d: non-root rank %d got data", root, c.Rank())
+				}
+				continue
+			}
+			want := []int64{wantSum, int64(p), wantSq, int64(root * p)}
+			if len(res) != 8*len(want) {
+				return fmt.Errorf("root %d: got %d result bytes, want %d", root, len(res), 8*len(want))
+			}
+			got := make([]int64, len(want))
+			DecodeInt64s(got, res)
+			for i := range want {
+				if got[i] != want[i] {
+					return fmt.Errorf("root %d: got %v, want %v", root, got, want)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+func TestTCPReduceMergeAllSizesAllRoots(t *testing.T) {
+	for p := 1; p <= 8; p++ {
+		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
+			runTCP(t, p, checkReduceAllRoots)
+		})
+	}
+}
 
 // concatMerge is a deliberately variable-length MergeOp: it appends src to
 // acc with a separator, so the result length depends on the tree shape and

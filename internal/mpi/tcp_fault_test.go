@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"encoding/binary"
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -64,7 +65,7 @@ func TestTCPSilentPeerDetected(t *testing.T) {
 	defer world.Abort()
 
 	start := time.Now()
-	_, rerr := comm.Recv(1, 7)
+	_, rerr := comm.recvRaw(1, 7)
 	detect := time.Since(start)
 	if rerr == nil {
 		t.Fatal("receive from a silent peer succeeded")
@@ -192,6 +193,95 @@ func TestTCPGracefulCloseStaysClean(t *testing.T) {
 	for r, err := range errs {
 		if err != nil {
 			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+}
+
+// TestTCPFailureInjection verifies the other half of the fail-stop model:
+// a peer that closes gracefully (with the goodbye handshake) does not
+// poison the survivor. A receive posted after the close simply stays
+// pending; the poisoning path is TestTCPAbruptDisconnect below.
+func TestTCPFailureInjection(t *testing.T) {
+	addrs := freeAddrs(t, 2)
+	done := make(chan error, 2)
+	go func() {
+		comm, closer, err := ConnectTCP(0, addrs, 5*time.Second)
+		if err != nil {
+			done <- err
+			return
+		}
+		_ = comm.sendRaw(1, 1, []byte("x")) // the send's fate is irrelevant
+		closer.Close()                      // graceful close sends goodbye
+		done <- nil
+	}()
+	go func() {
+		comm, closer, err := ConnectTCP(1, addrs, 5*time.Second)
+		if err != nil {
+			done <- err
+			return
+		}
+		defer closer.Close()
+		if _, err := comm.recvRaw(0, 1); err != nil {
+			done <- fmt.Errorf("first recv failed: %w", err)
+			return
+		}
+		req := comm.irecvRaw(0, 2)
+		select {
+		case <-req.Done():
+			_, werr := req.Wait()
+			done <- fmt.Errorf("unexpected completion: %v", werr)
+		case <-time.After(200 * time.Millisecond):
+			done <- nil
+		}
+	}()
+	for i := 0; i < 2; i++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestTCPAbruptDisconnect kills a connection WITHOUT the goodbye handshake
+// (simulating a crashed peer) and verifies the survivor's pending receive
+// errors out instead of hanging — the fail-stop guarantee.
+func TestTCPAbruptDisconnect(t *testing.T) {
+	addrs := freeAddrs(t, 2)
+	errs := make(chan error, 2)
+	go func() {
+		comm, closer, err := ConnectTCP(0, addrs, 5*time.Second)
+		if err != nil {
+			errs <- err
+			return
+		}
+		_ = closer
+		// Crash: close the raw socket to rank 1 directly, bypassing the
+		// graceful goodbye (package-internal access).
+		tt := comm.eng.tr.(*tcpTransport)
+		time.Sleep(100 * time.Millisecond) // let rank 1 post its receive
+		tt.conns[1].c.Close()
+		errs <- nil
+	}()
+	go func() {
+		comm, closer, err := ConnectTCP(1, addrs, 5*time.Second)
+		if err != nil {
+			errs <- err
+			return
+		}
+		defer closer.Close()
+		if _, rerr := comm.recvRaw(0, 7); rerr == nil { // must fail, not hang
+			errs <- fmt.Errorf("recv succeeded after peer crash")
+			return
+		}
+		// Subsequent operations must fail fast too.
+		if _, rerr := comm.recvRaw(0, 8); rerr == nil {
+			errs <- fmt.Errorf("post-crash recv succeeded")
+			return
+		}
+		errs <- nil
+	}()
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -66,9 +66,9 @@ func runTCP(t *testing.T, p int, fn func(c *Comm) error) {
 func TestTCPSendRecv(t *testing.T) {
 	runTCP(t, 2, func(c *Comm) error {
 		if c.Rank() == 0 {
-			return c.Send(1, 4, []byte("over the wire"))
+			return c.sendRaw(1, 4, []byte("over the wire"))
 		}
-		data, err := c.Recv(0, 4)
+		data, err := c.recvRaw(0, 4)
 		if err != nil {
 			return err
 		}
@@ -87,9 +87,9 @@ func TestTCPLargeMessage(t *testing.T) {
 			for i := range buf {
 				buf[i] = byte(i * 7)
 			}
-			return c.Send(1, 0, buf)
+			return c.sendRaw(1, 0, buf)
 		}
-		data, err := c.Recv(0, 0)
+		data, err := c.recvRaw(0, 0)
 		if err != nil {
 			return err
 		}
@@ -111,7 +111,7 @@ func TestTCPCollectives(t *testing.T) {
 			return err
 		}
 		buf := EncodeInt64s(nil, []int64{int64(c.Rank() + 1)})
-		res, err := c.Allreduce(buf, SumInt64)
+		res, err := allreduceSum(c, buf)
 		if err != nil {
 			return err
 		}
@@ -138,7 +138,7 @@ func TestTCPSplitAndHierarchy(t *testing.T) {
 			return err
 		}
 		buf := EncodeInt64s(nil, []int64{1})
-		res, err := local.Allreduce(buf, SumInt64)
+		res, err := allreduceSum(local, buf)
 		if err != nil {
 			return err
 		}
@@ -155,7 +155,7 @@ func TestTCPIReduceOverlap(t *testing.T) {
 	runTCP(t, 3, func(c *Comm) error {
 		for round := 0; round < 5; round++ {
 			buf := EncodeInt64s(nil, []int64{int64(c.Rank()), 1})
-			req := c.IReduce(0, buf, SumInt64)
+			req := c.IReduceMerge(0, buf, sumInt64)
 			spins := 0
 			for !req.Test() {
 				spins++
