@@ -1,8 +1,8 @@
 // Degraded-mode benchmark: sampling throughput of a distributed run that
 // loses a rank mid-flight and completes through the shrink-and-recalibrate
-// recovery protocol. scripts/bench.sh runs this as the dist-degraded tier
-// of BENCH_estimate.json, so a perf regression in the recovery path (or a
-// post-shrink slowdown of the surviving world) shows up in the trajectory.
+// recovery protocol, so the cost of the recovery path (and any post-shrink
+// slowdown of the surviving world) can be measured on its own. The repo's
+// tracked end-to-end measurements come from `bash bench/run.sh`.
 package repro
 
 import (

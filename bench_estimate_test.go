@@ -1,8 +1,8 @@
 // Estimate benchmarks: the workload x backend matrix of the public API on
 // small generated instances — Sequential vs SharedMemory vs a genuine
 // 2-rank TCP world, each on the undirected, directed, and weighted
-// workloads. scripts/bench.sh runs exactly these and emits the machine-
-// readable BENCH_estimate.json that tracks the perf trajectory across PRs.
+// workloads. CI runs them once per cell so they never stop compiling or
+// panic; the repo's tracked measurements come from `bash bench/run.sh`.
 package repro
 
 import (
@@ -81,9 +81,8 @@ func benchFreeAddrs(b *testing.B, n int) []string {
 	return addrs
 }
 
-// BenchmarkEstimate is the workload x backend sweep behind
-// scripts/bench.sh. Sub-benchmark names follow
-// BenchmarkEstimate/<workload>/<backend>.
+// BenchmarkEstimate is the workload x backend sweep. Sub-benchmark names
+// follow BenchmarkEstimate/<workload>/<backend>.
 func BenchmarkEstimate(b *testing.B) {
 	workloads := benchEstimateWorkloads(b)
 	for _, kind := range []string{"undirected", "directed", "weighted"} {

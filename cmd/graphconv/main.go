@@ -4,15 +4,15 @@
 //
 // Inputs: text edge lists (SNAP/KONECT style, IDs densely renumbered in
 // order of first appearance — identical to the in-memory loader) and
-// BCSR v1 binaries (upgraded in place of re-parsing text). The output is
-// written under a temporary name and renamed into place after fsync, so
-// an interrupted conversion never leaves a torn file.
+// BCSR v2 files (re-encoded, e.g. to add or strip compression). The
+// output is written under a temporary name and renamed into place after
+// fsync, so an interrupted conversion never leaves a torn file.
 //
 // Examples:
 //
 //	graphconv -in web.txt -out web.bcsr -mem 256MiB
 //	graphconv -in web.txt -out web.bcsr -mem 1GiB -compress
-//	graphconv -in old-v1.bcsr -out new-v2.bcsr   # v1 -> v2 upgrade
+//	graphconv -in web.bcsr -out web-z.bcsr -compress  # re-encode compressed
 //	graphconv -in web.bcsr -verify               # full structural audit
 package main
 
@@ -29,7 +29,7 @@ import (
 
 func main() {
 	var (
-		in       = flag.String("in", "", "input graph: text edge list or BCSR v1/v2 (format sniffed)")
+		in       = flag.String("in", "", "input graph: text edge list or BCSR v2 (format sniffed)")
 		out      = flag.String("out", "", "output BCSR v2 path")
 		mem      = flag.String("mem", "256MiB", "edge sort buffer budget (suffixes KiB, MiB, GiB)")
 		compress = flag.Bool("compress", false, "varint/delta-compress adjacency (smaller file, open decodes to heap)")
@@ -91,9 +91,8 @@ func main() {
 }
 
 // convert routes by the sniffed input format: text edge lists stream
-// through the external sorter; a BCSR v1 file is heap-loaded once and
-// rewritten (its CSR is already deduplicated and sorted); a BCSR v2 file
-// is re-encoded via the mapping (useful to add or strip compression).
+// through the external sorter; a BCSR v2 file is re-encoded via the
+// mapping (useful to add or strip compression).
 func convert(in, out string, opts graph.ConvertOptions) (*graph.ConvertStats, error) {
 	format, err := graph.DetectFormatFile(in)
 	if err != nil {
@@ -101,15 +100,6 @@ func convert(in, out string, opts graph.ConvertOptions) (*graph.ConvertStats, er
 	}
 	wopts := graph.WriteOptions{Compress: opts.Compress, BlockVerts: opts.BlockVerts}
 	switch format {
-	case graph.FormatBCSR:
-		g, err := graph.LoadFile(in)
-		if err != nil {
-			return nil, err
-		}
-		if err := graph.WriteBCSR2File(out, g, wopts); err != nil {
-			return nil, err
-		}
-		return statsFor(g, out)
 	case graph.FormatBCSR2:
 		m, err := graph.OpenMapped(in)
 		if err != nil {
@@ -123,7 +113,12 @@ func convert(in, out string, opts graph.ConvertOptions) (*graph.ConvertStats, er
 	case graph.FormatEdgeList, graph.FormatUnknown:
 		// Headerless two-column text sniffs as FormatEdgeList; an
 		// unknown head still gets a chance as text so odd comment styles
-		// fail with a line-number error instead of "unknown format".
+		// fail with a line-number error instead of "unknown format". A
+		// .bcsr name promises v2, so like graph.LoadFile it is never
+		// read as text.
+		if strings.HasSuffix(in, ".bcsr") {
+			return nil, fmt.Errorf("%w: %s is not BCSR v2 (content sniffs as %s)", graph.ErrFormatUnknown, in, format)
+		}
 		f, err := os.Open(in)
 		if err != nil {
 			return nil, err

@@ -97,9 +97,8 @@ func describeFile(path string, withDiameter, quick bool) error {
 			float64(m.FileSize())/(1<<20), m.Compressed(), m.ZeroCopy())
 		describe(m.Graph(), withDiameter, quick)
 	default:
-		// Edge lists, BCSR v1 binaries, and the unknown fallback all go
-		// through the historical heap loader (which still honours the
-		// .bcsr extension).
+		// Edge lists and the unknown fallback go through LoadFile, which
+		// reads them as text and refuses a .bcsr path that is not v2.
 		g, err := graph.LoadFile(path)
 		if err != nil {
 			return err

@@ -19,7 +19,7 @@
 //     package.
 //   - repro/graph — the CSR graph types (Graph, Digraph, WGraph),
 //     builder, file loaders (edge lists, arc lists, weighted edge
-//     lists, BCSR binaries), connectivity and diameter routines, and
+//     lists, BCSR v2 binaries), connectivity and diameter routines, and
 //     the synthetic generators behind the paper's Table I plus
 //     RandomDigraph/RandomWeights for the new workloads.
 //
@@ -100,8 +100,9 @@
 // on-disk BCSR v2 format in memory bounded by its sort budget rather than
 // the edge count, and graph.OpenMapped memory-maps the result — an O(1)
 // open (header parse plus an offsets-monotonicity scan, no adjacency
-// touch) that serves the CSR zero-copy off the page cache. graph.LoadFile
-// routes .bcsr files through the mapped path automatically, estimators
+// touch) that serves the CSR zero-copy off the page cache. BCSR v2 is the
+// only binary graph format: graph.LoadFile routes v2 files through the
+// mapped path automatically and refuses any other .bcsr file, estimators
 // fault pages in lazily as samples walk the graph, and betweennessd
 // persists undirected uploads as BCSR v2 and serves sessions off the
 // shared mapping. graphgen -stream pipes the synthetic generators through

@@ -1,9 +1,14 @@
 package graph
 
 import (
+	"encoding/binary"
+	"errors"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	igraph "repro/internal/graph"
 )
 
 func TestLargestComponentSurfacesDegenerateInputs(t *testing.T) {
@@ -61,6 +66,54 @@ func TestGeneratorsAndRoundTrip(t *testing.T) {
 	}
 	if back.Digest() != g.Digest() {
 		t.Fatalf("round trip changed the digest: %s -> %s", g.Digest(), back.Digest())
+	}
+}
+
+// bcsrImage hand-builds a BCSR image in the retired v1 layout: the magic
+// word, node and adjacency counts, then the offsets and adjacency arrays
+// of the path 0-1-2. Only the version in the magic word varies.
+func bcsrImage(version uint32) []byte {
+	words := []uint64{igraph.BCSRMagic(version), 3, 4, 0, 1, 3, 4}
+	var buf []byte
+	for _, w := range words {
+		buf = binary.LittleEndian.AppendUint64(buf, w)
+	}
+	for _, v := range []uint32{1, 0, 2, 1} {
+		buf = binary.LittleEndian.AppendUint32(buf, v)
+	}
+	return buf
+}
+
+// TestLoadFileRejectsNonV2BCSR pins LoadFile's rule for .bcsr paths: only
+// content that sniffs as BCSR v2 loads; anything else errors and is never
+// read as a text edge list. Version skew surfaces as ErrBCSRVersion.
+func TestLoadFileRejectsNonV2BCSR(t *testing.T) {
+	cases := []struct {
+		name        string
+		data        []byte
+		wantVersion bool
+	}{
+		{"empty", nil, false},
+		{"garbage", []byte("not a bcsr file at all......"), false},
+		{"text edge list", []byte("0 1\n1 2\n"), false},
+		{"v1 header", bcsrImage(1), true},
+		{"v9 magic", bcsrImage(9), true},
+	}
+	dir := t.TempDir()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(dir, strings.ReplaceAll(tc.name, " ", "-")+".bcsr")
+			if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			g, err := LoadFile(path)
+			if err == nil {
+				t.Fatalf("LoadFile accepted %s as a graph with %d nodes", tc.name, g.NumNodes())
+			}
+			if got := errors.Is(err, ErrBCSRVersion); got != tc.wantVersion {
+				t.Fatalf("LoadFile error = %v; errors.Is(ErrBCSRVersion) = %v, want %v", err, got, tc.wantVersion)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"io"
 	"os"
 	"strings"
@@ -19,7 +20,6 @@ type Format = igraph.Format
 // the "# directed graph" header comment WriteArcList emits is present.
 const (
 	FormatUnknown          = igraph.FormatUnknown
-	FormatBCSR             = igraph.FormatBCSR
 	FormatEdgeList         = igraph.FormatEdgeList
 	FormatArcList          = igraph.FormatArcList
 	FormatWeightedEdgeList = igraph.FormatWeightedEdgeList
@@ -30,43 +30,50 @@ const (
 var ErrFormatUnknown = igraph.ErrFormatUnknown
 
 // ErrBCSRVersion is the errors.Is target for BCSR version skew: a BCSR
-// file whose version the reader it was handed cannot load.
+// file of any version other than 2, the only one this build reads.
 var ErrBCSRVersion = igraph.ErrBCSRVersion
 
-// BCSRVersionError carries the offending version and a hint naming the
-// reader that can load the file, when one exists.
+// BCSRVersionError carries the offending version and a hint on what this
+// build reads.
 type BCSRVersionError = igraph.BCSRVersionError
 
 // DetectFormat sniffs the graph format at the head of r without consuming
 // it: the returned reader replays the full stream, sniffed bytes included,
 // so it can be handed straight to the matching Read function. It
-// recognizes the BCSR magic, the header comments the Write functions emit,
+// recognizes the BCSR v2 magic, the header comments the Write functions emit,
 // and falls back to the field count of the first data line (3+ integer
 // fields = weighted edge list, 2 = edge list).
 func DetectFormat(r io.Reader) (Format, io.Reader, error) { return igraph.DetectFormat(r) }
 
-// DetectFormatFile sniffs the format of the file at path by content, with
-// the ".bcsr" extension as a tie-breaker for empty files.
+// DetectFormatFile sniffs the format of the file at path by content.
 func DetectFormatFile(path string) (Format, error) { return igraph.DetectFormatFile(path) }
 
-// LoadFile reads a graph from path. BCSR v2 files (whatever their name)
-// open through the mmap-backed loader — O(1), adjacency served from the
-// mapping, see OpenMapped — and the returned Graph keeps the mapping
-// alive; everything else falls back to the extension rule: ".bcsr" for
-// the heap-loaded BCSR v1 binary format, text edge list otherwise.
+// LoadFile reads a graph from path by content. A BCSR v2 file (whatever
+// its name) opens through the mmap-backed loader — O(1), adjacency served
+// from the mapping, see OpenMapped — and the returned Graph keeps the
+// mapping alive. Any other ".bcsr" path is an error, never parsed as
+// text; everything else is read as a text edge list.
 func LoadFile(path string) (*Graph, error) {
 	format, err := igraph.DetectFormatFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if format == FormatBCSR2 {
+	switch {
+	case format == FormatBCSR2:
 		m, err := bigio.Open(path)
 		if err != nil {
 			return nil, err
 		}
 		return m.Graph(), nil
+	case strings.HasSuffix(path, ".bcsr"):
+		return nil, fmt.Errorf("%w: %s is not BCSR v2 (content sniffs as %s)", ErrFormatUnknown, path, format)
 	}
-	return igraph.LoadFile(path)
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return igraph.ReadEdgeList(f)
 }
 
 // SaveFile writes a graph to path, choosing the format by extension: a
@@ -93,12 +100,6 @@ func ReadEdgeList(r io.Reader) (*Graph, error) { return igraph.ReadEdgeList(r) }
 
 // WriteEdgeList writes g as a text edge list, one edge per line.
 func WriteEdgeList(w io.Writer, g *Graph) error { return igraph.WriteEdgeList(w, g) }
-
-// ReadBinary parses the BCSR binary format.
-func ReadBinary(r io.Reader) (*Graph, error) { return igraph.ReadBinary(r) }
-
-// WriteBinary writes g in the BCSR binary format.
-func WriteBinary(w io.Writer, g *Graph) error { return igraph.WriteBinary(w, g) }
 
 // ReadArcList parses a directed text arc list: one "u v" arc per line
 // meaning u -> v, with the same comment and renumbering conventions as

@@ -50,10 +50,9 @@ const (
 	// so parse rejects it.
 	knownFlags = flagCompressed
 
-	// maxPlausible bounds node and adjacency counts (2^40 ≈ 10^12), the
-	// same sanity ceiling ReadBinary applies: large enough for any real
-	// graph, small enough that a corrupt header cannot demand an
-	// exabyte allocation.
+	// maxPlausible bounds node and adjacency counts (2^40 ≈ 10^12):
+	// large enough for any real graph, small enough that a corrupt
+	// header cannot demand an exabyte allocation.
 	maxPlausible = uint64(1) << 40
 
 	// DefaultBlockVerts is the compressed-block granularity used when a
@@ -140,7 +139,7 @@ func parseHeader(buf []byte, fileSize int64) (*header, error) {
 		if uint32(word>>32) == uint32(magic2>>32) {
 			return nil, &graph.BCSRVersionError{
 				Version: word & 0xffffffff,
-				Hint:    "the mapped loader reads v2 only; v1 loads via graph.ReadBinary",
+				Hint:    "the mapped loader reads v2 only",
 			}
 		}
 		return nil, &FormatError{Detail: fmt.Sprintf("bad magic %#x", word)}

@@ -12,7 +12,7 @@ import (
 )
 
 // Format identification for the interchange formats this package reads.
-// The binary BCSR snapshot announces itself with a magic number; the three
+// The binary BCSR v2 snapshot announces itself with a magic number; the three
 // text formats are sniffed from the writers' header comments when present
 // and from the field count of the first data line otherwise. An edge list
 // and an arc list are syntactically identical ("u v" per line), so a
@@ -26,9 +26,6 @@ type Format int
 const (
 	// FormatUnknown reports that no format could be determined.
 	FormatUnknown Format = iota
-	// FormatBCSR is the binary CSR snapshot, version 1 (undirected,
-	// heap-loaded by ReadBinary).
-	FormatBCSR
 	// FormatEdgeList is the undirected "u v" text format (also matches a
 	// headerless arc list — the two are syntactically identical).
 	FormatEdgeList
@@ -44,8 +41,6 @@ const (
 
 func (f Format) String() string {
 	switch f {
-	case FormatBCSR:
-		return "bcsr"
 	case FormatBCSR2:
 		return "bcsr2"
 	case FormatEdgeList:
@@ -72,15 +67,15 @@ func BCSRMagic(version uint32) uint64 {
 // ErrBCSRVersion is the errors.Is target of BCSRVersionError.
 var ErrBCSRVersion = fmt.Errorf("graph: unsupported BCSR version")
 
-// BCSRVersionError reports a BCSR file whose version does not match the
-// reader it was handed: a v3+ (or v0) file on any loader, a v2 file on the
-// v1-only ReadBinary, or a v1 file on the v2-only mapped opener. It is the
-// typed "version skew" error DetectFormat and the binary readers return so
-// callers can distinguish it from a generic sniff failure.
+// BCSRVersionError reports a BCSR file of any version other than 2, the
+// only one this build reads: the retired heap-loaded v1, a v0, or a v3+
+// file from a newer writer. It is the typed "version skew" error
+// DetectFormat and the v2 reader return so callers can distinguish it from
+// a generic sniff failure.
 type BCSRVersionError struct {
 	// Version is the version field of the file's magic word.
 	Version uint64
-	// Hint names the reader that can load the file, when one exists.
+	// Hint says which BCSR version this build reads.
 	Hint string
 }
 
@@ -104,10 +99,10 @@ const detectPeek = 64 * 1024
 // so it can be handed straight to the matching Read function. Detection
 // rules, in order:
 //
-//   - the BCSR magic word -> FormatBCSR (version 1) or FormatBCSR2
-//     (version 2); a BCSR magic with any other version returns
-//     FormatUnknown and a *BCSRVersionError, so version skew is reported
-//     as such instead of as a generic sniff failure
+//   - the BCSR magic word with version 2 -> FormatBCSR2; a BCSR magic
+//     with any other version returns FormatUnknown and a
+//     *BCSRVersionError, so version skew is reported as such instead of
+//     as a generic sniff failure
 //   - a writer header comment ("# directed graph", "# weighted undirected
 //     graph", "# undirected graph") -> the corresponding text format
 //   - the first non-comment line: 3+ fields where the third parses as a
@@ -125,9 +120,8 @@ func DetectFormat(r io.Reader) (Format, io.Reader, error) {
 	return f, br, err
 }
 
-// DetectFormatFile sniffs the format of the file at path, preferring the
-// content over the extension (a ".bcsr" suffix is only a tie-breaker for
-// an empty file).
+// DetectFormatFile sniffs the format of the file at path by content; the
+// file name plays no part.
 func DetectFormatFile(path string) (Format, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -135,29 +129,19 @@ func DetectFormatFile(path string) (Format, error) {
 	}
 	defer f.Close()
 	format, _, err := DetectFormat(f)
-	if err != nil {
-		return FormatUnknown, err
-	}
-	if format == FormatUnknown && strings.HasSuffix(path, ".bcsr") {
-		return FormatBCSR, nil
-	}
-	return format, nil
+	return format, err
 }
 
 // sniff applies the detection rules to the peeked head bytes.
 func sniff(head []byte) (Format, error) {
 	if len(head) >= 8 {
 		if word := binary.LittleEndian.Uint64(head[:8]); uint32(word>>32) == bcsrMagicPrefix {
-			switch uint32(word) {
-			case 1:
-				return FormatBCSR, nil
-			case 2:
+			if uint32(word) == 2 {
 				return FormatBCSR2, nil
-			default:
-				return FormatUnknown, &BCSRVersionError{
-					Version: word & 0xffffffff,
-					Hint:    "this build reads v1 and v2",
-				}
+			}
+			return FormatUnknown, &BCSRVersionError{
+				Version: word & 0xffffffff,
+				Hint:    "this build reads v2 only",
 			}
 		}
 	}

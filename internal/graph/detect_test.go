@@ -49,28 +49,6 @@ func TestDetectFormatText(t *testing.T) {
 	}
 }
 
-func TestDetectFormatBCSR(t *testing.T) {
-	g := FromEdges(3, [][2]Node{{0, 1}, {1, 2}})
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	format, r, err := DetectFormat(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if format != FormatBCSR {
-		t.Fatalf("DetectFormat = %v, want %v", format, FormatBCSR)
-	}
-	got, err := ReadBinary(r)
-	if err != nil {
-		t.Fatalf("ReadBinary after detect: %v", err)
-	}
-	if got.NumNodes() != 3 || got.NumEdges() != 2 {
-		t.Fatalf("round trip: %d nodes %d edges", got.NumNodes(), got.NumEdges())
-	}
-}
-
 // The writers' own output must round-trip through detection: this is the
 // contract that lets the upload path and the CLIs drop explicit format
 // flags for files this repository produced.
@@ -123,18 +101,6 @@ func TestDetectFormatFile(t *testing.T) {
 	}
 	if format != FormatWeightedEdgeList {
 		t.Fatalf("DetectFormatFile = %v, want %v", format, FormatWeightedEdgeList)
-	}
-	// Empty ".bcsr" falls back to the extension.
-	empty := filepath.Join(dir, "empty.bcsr")
-	if err := os.WriteFile(empty, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	format, err = DetectFormatFile(empty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if format != FormatBCSR {
-		t.Fatalf("DetectFormatFile(empty .bcsr) = %v, want %v", format, FormatBCSR)
 	}
 }
 

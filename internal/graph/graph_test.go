@@ -245,45 +245,6 @@ func TestReadEdgeListErrors(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	f := func(seed uint64, nRaw, mRaw uint16) bool {
-		n := int(nRaw%200) + 1
-		m := int(mRaw % 800)
-		g := FromEdges(n, randomEdges(rng.NewRand(seed), n, m))
-		var buf bytes.Buffer
-		if err := WriteBinary(&buf, g); err != nil {
-			return false
-		}
-		g2, err := ReadBinary(&buf)
-		if err != nil {
-			return false
-		}
-		if g2.NumNodes() != g.NumNodes() || len(g2.Adj) != len(g.Adj) {
-			return false
-		}
-		for i := range g.Offsets {
-			if g.Offsets[i] != g2.Offsets[i] {
-				return false
-			}
-		}
-		for i := range g.Adj {
-			if g.Adj[i] != g2.Adj[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestReadBinaryRejectsGarbage(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewReader([]byte("not a bcsr file at all......"))); err == nil {
-		t.Fatal("garbage accepted as BCSR")
-	}
-}
-
 func TestSubgraph(t *testing.T) {
 	// 0-1-2-3 path plus 0-3 chord; keep {0,1,3}.
 	b := NewBuilder(4)

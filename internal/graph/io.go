@@ -2,21 +2,16 @@ package graph
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
-	"strings"
 )
 
-// This file implements two interchange formats:
-//
-//   - Text edge lists, compatible with the SNAP/KONECT style the paper's
-//     pipeline consumes: one "u v" pair per line, '#' and '%' comment lines
-//     ignored, arbitrary whitespace. Vertex IDs are remapped densely.
-//   - A binary CSR snapshot ("BCSR") that loads in O(read) without
-//     rebuilding, for the large generated instances used by the benchmarks.
+// This file implements the undirected text interchange format: edge lists
+// compatible with the SNAP/KONECT style the paper's pipeline consumes, one
+// "u v" pair per line, '#' and '%' comment lines ignored, arbitrary
+// whitespace. Vertex IDs are remapped densely. The binary format (BCSR v2,
+// page-aligned and opened by mmap) lives in internal/bigio.
 
 // ReadEdgeList parses a SNAP/KONECT-style text edge list. IDs found in the
 // file are densely renumbered in order of first appearance.
@@ -58,83 +53,4 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 		return err
 	}
 	return bw.Flush()
-}
-
-// bcsrMagic is the magic word of BCSR version 1, the heap-loaded format
-// this file implements. Version 2 (page-aligned sections, opened by mmap)
-// lives in internal/bigio; see BCSRMagic for the shared magic scheme.
-var bcsrMagic = BCSRMagic(1)
-
-// WriteBinary writes g in the BCSR binary format.
-func WriteBinary(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	hdr := []uint64{bcsrMagic, uint64(g.NumNodes()), uint64(len(g.Adj))}
-	if err := binary.Write(bw, binary.LittleEndian, hdr); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.Offsets); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, g.Adj); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// ReadBinary reads a BCSR binary graph and validates its structure.
-func ReadBinary(r io.Reader) (*Graph, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	hdr := make([]uint64, 3)
-	if err := binary.Read(br, binary.LittleEndian, hdr); err != nil {
-		return nil, fmt.Errorf("graph: reading BCSR header: %w", err)
-	}
-	if hdr[0] != bcsrMagic {
-		if uint32(hdr[0]>>32) == bcsrMagicPrefix {
-			// A BCSR file of another version: report the skew as such.
-			return nil, &BCSRVersionError{
-				Version: hdr[0] & 0xffffffff,
-				Hint:    "ReadBinary reads v1 only; v2 opens via LoadFile or the mapped loader",
-			}
-		}
-		return nil, fmt.Errorf("graph: bad BCSR magic %#x", hdr[0])
-	}
-	n, m2 := hdr[1], hdr[2]
-	const maxReasonable = 1 << 40
-	if n > maxReasonable || m2 > maxReasonable {
-		return nil, fmt.Errorf("graph: implausible BCSR sizes n=%d adj=%d", n, m2)
-	}
-	g := &Graph{
-		Offsets: make([]uint64, n+1),
-		Adj:     make([]Node, m2),
-	}
-	if err := binary.Read(br, binary.LittleEndian, g.Offsets); err != nil {
-		return nil, fmt.Errorf("graph: reading BCSR offsets: %w", err)
-	}
-	if err := binary.Read(br, binary.LittleEndian, g.Adj); err != nil {
-		return nil, fmt.Errorf("graph: reading BCSR adjacency: %w", err)
-	}
-	// Cheap structural checks (full Validate is O(E log E); do bounds only).
-	if g.Offsets[0] != 0 || g.Offsets[n] != m2 {
-		return nil, fmt.Errorf("graph: corrupt BCSR offsets")
-	}
-	for v := uint64(0); v < n; v++ {
-		if g.Offsets[v] > g.Offsets[v+1] {
-			return nil, fmt.Errorf("graph: non-monotone BCSR offsets at %d", v)
-		}
-	}
-	return g, nil
-}
-
-// LoadFile loads a graph from path, choosing the format by extension:
-// ".bcsr" for binary, anything else for text edge lists.
-func LoadFile(path string) (*Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".bcsr") {
-		return ReadBinary(f)
-	}
-	return ReadEdgeList(f)
 }

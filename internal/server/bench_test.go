@@ -12,11 +12,12 @@ import (
 	"repro/graph"
 )
 
-// The service-tier benchmarks tracked by scripts/bench.sh: end-to-end
-// session throughput (create + run + result over HTTP) and the latency of
-// a status poll against a session that is actively sampling. Both ride the
-// sequential backend on a small RMAT graph, so the numbers measure the
-// service layer, not the sampler.
+// The service-tier micro-benchmarks: end-to-end session throughput
+// (create + run + result over HTTP) and the latency of a status poll
+// against a session that is actively sampling. Both ride the sequential
+// backend on a small RMAT graph, so the numbers measure the service
+// layer, not the sampler. The tracked end-to-end service workload is
+// `bash bench/run.sh`.
 
 func benchServer(b *testing.B) (string, string) {
 	b.Helper()

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -160,9 +161,9 @@ func TestPeriodicCheckpointDuringRun(t *testing.T) {
 
 // TestCorruptionQuarantine seeds a data dir with every class of damage an
 // unclean death can leave — truncated checkpoint envelope, bit-rotted CRC,
-// zero-byte metadata, stale tmp file, corrupt cache entry — and asserts
-// startup succeeds with each file quarantined and the damaged session
-// served fresh.
+// zero-byte metadata, stale tmp file, corrupt cache entry — plus graph
+// bytes in the retired BCSR v1 format, and asserts startup succeeds with
+// each file quarantined and the damaged session served fresh.
 func TestCorruptionQuarantine(t *testing.T) {
 	cases := []struct {
 		name string
@@ -172,6 +173,9 @@ func TestCorruptionQuarantine(t *testing.T) {
 		sessionFresh bool
 		// sessionGone: the whole session was quarantined (404 after restart).
 		sessionGone bool
+		// graphReason, when set, means the graph itself was quarantined
+		// with a logged reason containing this text.
+		graphReason string
 	}{
 		{
 			name: "truncated checkpoint",
@@ -238,6 +242,17 @@ func TestCorruptionQuarantine(t *testing.T) {
 				}
 			},
 		},
+		{
+			name: "graph bytes in BCSR v1",
+			damage: func(t *testing.T, dataDir, id string) {
+				path := filepath.Join(dataDir, "graphs", "g.graph")
+				if err := os.WriteFile(path, bcsrV1Bytes(t), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			},
+			sessionGone: true,
+			graphReason: "unsupported BCSR version 1",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -260,7 +275,16 @@ func TestCorruptionQuarantine(t *testing.T) {
 
 			tc.damage(t, dataDir, id)
 
-			srvB, err := New(Config{DataDir: dataDir})
+			var (
+				logMu sync.Mutex
+				logs  []string
+			)
+			logf := func(format string, args ...any) {
+				logMu.Lock()
+				defer logMu.Unlock()
+				logs = append(logs, fmt.Sprintf(format, args...))
+			}
+			srvB, err := New(Config{DataDir: dataDir, Logf: logf})
 			if err != nil {
 				t.Fatalf("startup over damaged data dir failed: %v", err)
 			}
@@ -269,6 +293,25 @@ func TestCorruptionQuarantine(t *testing.T) {
 
 			if q := quarantineEntries(t, dataDir); len(q) == 0 {
 				t.Fatal("damage was not quarantined")
+			}
+			if tc.graphReason != "" {
+				if code, _ := do(t, "GET", tsB.URL+"/graphs/"+name, nil); code != http.StatusNotFound {
+					t.Fatalf("quarantined graph still served: status %d", code)
+				}
+				logMu.Lock()
+				found := false
+				for _, line := range logs {
+					if strings.Contains(line, "quarantined") && strings.Contains(line, name+".json") &&
+						strings.Contains(line, tc.graphReason) {
+						found = true
+					}
+				}
+				logMu.Unlock()
+				if !found {
+					t.Fatalf("no graph quarantine logged with reason %q: %q", tc.graphReason, logs)
+				}
+				// The operator's way back: upload the graph again.
+				uploadGraph(t, tsB.URL, name, testGraphBytes(t))
 			}
 			code, status := do(t, "GET", tsB.URL+"/sessions/"+id, nil)
 			switch {

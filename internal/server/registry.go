@@ -112,7 +112,7 @@ func buildGraphEntry(name string, r io.Reader, kindStr string) (*graphEntry, err
 		if err != nil {
 			return nil, err
 		}
-		if (format == graph.FormatBCSR || format == graph.FormatBCSR2) && override != betweenness.WorkloadUndirected {
+		if format == graph.FormatBCSR2 && override != betweenness.WorkloadUndirected {
 			return nil, fmt.Errorf("BCSR uploads are undirected; cannot register as %s", override)
 		}
 		if format == graph.FormatWeightedEdgeList && override == betweenness.WorkloadDirected {
@@ -147,15 +147,12 @@ func buildGraphEntry(name string, r io.Reader, kindStr string) (*graphEntry, err
 		e.wgt, e.nodes, e.edges, e.digest = lcc, lcc.NumNodes(), lcc.NumEdges(), lcc.Digest()
 	default:
 		var g *graph.Graph
-		switch format {
-		case graph.FormatBCSR:
-			g, err = graph.ReadBinary(r)
-		case graph.FormatBCSR2:
+		if format == graph.FormatBCSR2 {
 			// Upload bodies are streams, so the v2 image decodes in
 			// memory here; the persisted copy is what sessions are
 			// served from by mmap (see Server.persistGraph).
 			g, err = graph.ReadBCSR2(r)
-		default:
+		} else {
 			g, err = graph.ReadEdgeList(r)
 		}
 		if err != nil {

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"repro/graph"
+	igraph "repro/internal/graph"
 )
 
 // testGraphBytes renders a small connected RMAT graph as an edge list —
@@ -29,6 +31,27 @@ func testGraphBytes(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// bcsrV1Bytes renders the graph of testGraphBytes in the retired BCSR v1
+// layout: magic word, node and adjacency counts, then the offsets and
+// adjacency arrays. No reader in the tree accepts it.
+func bcsrV1Bytes(t *testing.T) []byte {
+	t.Helper()
+	g, err := graph.ReadEdgeList(bytes.NewReader(testGraphBytes(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := binary.LittleEndian.AppendUint64(nil, igraph.BCSRMagic(1))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(g.NumNodes()))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(g.Adj)))
+	for _, off := range g.Offsets {
+		buf = binary.LittleEndian.AppendUint64(buf, off)
+	}
+	for _, v := range g.Adj {
+		buf = binary.LittleEndian.AppendUint32(buf, v)
+	}
+	return buf
 }
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -150,6 +173,23 @@ func TestGraphUpload(t *testing.T) {
 	// Unknown body: 400.
 	if code, _ = do(t, "POST", ts.URL+"/graphs", []byte("!! not a graph")); code != http.StatusBadRequest {
 		t.Errorf("garbage upload: status %d, want 400", code)
+	}
+
+	// A BCSR v1 body is version skew, a client error: 400 naming the
+	// version, and never registered — not even under an explicit kind
+	// that would otherwise read the body as text.
+	v1 := bcsrV1Bytes(t)
+	for _, query := range []string{"?name=v1", "?name=v1&kind=undirected"} {
+		code, resp := do(t, "POST", ts.URL+"/graphs"+query, v1)
+		if code != http.StatusBadRequest {
+			t.Errorf("v1 upload %s: status %d, want 400", query, code)
+		}
+		if msg, _ := resp["error"].(string); !strings.Contains(msg, "BCSR version 1") {
+			t.Errorf("v1 upload %s: error %q does not name the BCSR version", query, msg)
+		}
+	}
+	if code, _ := do(t, "GET", ts.URL+"/graphs/v1", nil); code != http.StatusNotFound {
+		t.Errorf("rejected v1 upload is registered: GET status %d, want 404", code)
 	}
 }
 
